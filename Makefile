@@ -5,8 +5,11 @@ GO ?= go
 ## check: vet, build, and test everything (the tier-1 gate)
 check: vet build test
 
+## vet: go vet, and fail when gofmt would reformat any file
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -363,7 +363,7 @@ func (m *Master) Run(ctx context.Context) (*Report, error) {
 	qbuf := make([]int, m.w.Len())
 	off := 0
 	for i := range vsb {
-		vsb[i].queue = qbuf[off:off:off+counts[i]]
+		vsb[i].queue = qbuf[off : off : off+counts[i]]
 		off += counts[i]
 	}
 	m.work = make([]int, 0, len(vsb))

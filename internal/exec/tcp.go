@@ -53,8 +53,8 @@ type TCP struct {
 	// free recycles consumed batch buffers back to the readers, so
 	// steady-state event delivery reuses slices instead of growing a
 	// fresh one per wave.
-	free  chan []Event
-	donec chan struct{}
+	free      chan []Event
+	donec     chan struct{}
 	mu        sync.Mutex
 	conns     map[int]*tcpConn
 	dirty     []int

@@ -115,11 +115,11 @@ func TestWireDecodeRejectsCorruptFrames(t *testing.T) {
 func TestWireArgsCountCapped(t *testing.T) {
 	payload := []byte{binTask}
 	payload = appendString(payload, "t")
-	payload = appendInt(payload, 0)  // index
+	payload = appendInt(payload, 0)     // index
 	payload = appendString(payload, "") // activity
-	payload = appendInt(payload, 0)  // vm
+	payload = appendInt(payload, 0)     // vm
 	payload = appendString(payload, "") // vm type
-	payload = appendInt(payload, 1)  // attempt
+	payload = appendInt(payload, 1)     // attempt
 	payload = appendFloat(payload, 1)
 	payload = appendInt(payload, 1<<30) // absurd arg count, no bytes behind it
 	var m wireMsg

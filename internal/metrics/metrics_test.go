@@ -225,3 +225,43 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("String = %q", s.String())
 	}
 }
+
+// TestSummarizeMatchesPercentile checks that Summarize's single sorted
+// copy yields bit-for-bit the percentiles of separate Percentile calls,
+// over random samples with duplicates, single-element samples, and
+// without touching the input.
+func TestSummarizeMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 500; iter++ {
+		n := 1 + rng.Intn(300)
+		if iter%10 == 0 {
+			n = 1
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			if rng.Intn(3) == 0 && i > 0 {
+				xs[i] = xs[rng.Intn(i)] // duplicate
+			} else {
+				xs[i] = rng.NormFloat64() * 100
+			}
+		}
+		orig := append([]float64(nil), xs...)
+		s := Summarize(xs)
+		for _, c := range []struct {
+			got float64
+			p   float64
+		}{{s.P50, 50}, {s.P95, 95}, {s.P99, 99}} {
+			if want := Percentile(xs, c.p); math.Float64bits(c.got) != math.Float64bits(want) {
+				t.Fatalf("n=%d p%v: Summarize %v, Percentile %v", n, c.p, c.got, want)
+			}
+		}
+		if s.N != n || s.Mean != Mean(xs) || s.Std != StdDev(xs) || s.Min != Min(xs) || s.Max != Max(xs) {
+			t.Fatalf("n=%d: summary %+v", n, s)
+		}
+		for i := range xs {
+			if math.Float64bits(xs[i]) != math.Float64bits(orig[i]) {
+				t.Fatal("Summarize mutated its input")
+			}
+		}
+	}
+}

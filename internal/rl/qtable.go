@@ -98,6 +98,10 @@ type Table struct {
 	rowMax []float64
 	rowArg []int32
 	rowOK  []bool
+	// writes counts in-rectangle stores (Set, TDUpdate, Load), so a
+	// RowOrder can tell that the cached maxima it sorted may have
+	// moved since.
+	writes uint64
 
 	rng *rand.Rand
 	// initSpan scales random initialisation: new entries are uniform
@@ -330,6 +334,7 @@ func (t *Table) Set(k Key, v float64) {
 				t.rowN[k.Task]++
 			}
 			b.vals[off] = v
+			t.writes++
 			t.updateRowCache(k.Task, k.VM, v)
 			return
 		}
@@ -614,6 +619,7 @@ func (t *Table) Load(r io.Reader) error {
 		clear(t.rowN)
 		clear(t.rowOK)
 		t.seenN = 0
+		t.writes++
 		t.overflow = nil
 	} else {
 		t.values = make(map[Key]float64, len(entries))
@@ -668,6 +674,7 @@ func (t *Table) TDUpdate(k Key, alpha, reward, gamma, next float64) float64 {
 			}
 			q += alpha * (reward + gamma*next - q)
 			b.vals[off] = q
+			t.writes++
 			t.updateRowCache(k.Task, k.VM, q)
 			return q
 		}

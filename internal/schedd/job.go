@@ -20,6 +20,12 @@ import (
 // job is one submission's full lifecycle: queued → running →
 // done/failed/canceled. The mutable state behind mu is what status()
 // snapshots for the API.
+//
+// A finished job stays in the registry until evicted, but only its
+// outcome is needed then: release drops the inputs (the built
+// workflow and fleet, and the request's workflow document and plan),
+// so retained jobs do not hold a workflow's worth of memory each.
+// status() reads the names and sizes captured at submit instead.
 type job struct {
 	id     string
 	req    api.SubmitRequest
@@ -27,6 +33,11 @@ type job struct {
 	w      *dag.Workflow
 	fleet  *cloud.Fleet
 	sig    string
+
+	workflowName string
+	activations  int
+	fleetName    string
+	vms          int
 
 	mu         sync.Mutex
 	state      string
@@ -58,6 +69,33 @@ func (j *job) finished() bool {
 	return false
 }
 
+// newJob registers a submission's built inputs with the fields
+// status() reports about them.
+func newJob(id string, req api.SubmitRequest, w *dag.Workflow, fleet *cloud.Fleet) *job {
+	return &job{
+		id:           id,
+		req:          req,
+		tenant:       tenantLabel(req.Tenant),
+		w:            w,
+		fleet:        fleet,
+		sig:          api.StructureSignature(w, fleet),
+		workflowName: w.Name,
+		activations:  w.Len(),
+		fleetName:    fleet.Name,
+		vms:          fleet.Len(),
+		state:        api.StateQueued,
+		submitted:    time.Now(),
+	}
+}
+
+// release drops the inputs of a job that reached a terminal state.
+// The caller holds j.mu; no pipeline is running on the job.
+func (j *job) release() {
+	j.w, j.fleet = nil, nil
+	j.req.Workflow = api.WorkflowSpec{}
+	j.req.Plan = nil
+}
+
 // status snapshots the job as an api.JobStatus.
 func (j *job) status() *api.JobStatus {
 	j.mu.Lock()
@@ -66,10 +104,10 @@ func (j *job) status() *api.JobStatus {
 		SchemaVersion:       api.SchemaVersion,
 		ID:                  j.id,
 		State:               j.state,
-		Workflow:            j.w.Name,
-		Activations:         j.w.Len(),
-		Fleet:               j.fleet.Name,
-		VMs:                 j.fleet.Len(),
+		Workflow:            j.workflowName,
+		Activations:         j.activations,
+		Fleet:               j.fleetName,
+		VMs:                 j.vms,
 		SubmittedAt:         j.submitted.UTC().Format(time.RFC3339Nano),
 		Episodes:            j.episodes,
 		CacheHit:            j.cacheHit,
@@ -118,26 +156,23 @@ func (s *Server) runJob(j *job) {
 	s.inflight.Add(-1)
 
 	now := time.Now()
-	j.mu.Lock()
-	j.finishedAt = now
+	state, jerr := api.StateDone, (*api.Error)(nil)
 	switch {
 	case err == nil:
-		j.state = api.StateDone
 	case errors.Is(err, context.Canceled):
-		j.state = api.StateCanceled
-		j.err = api.Errorf(api.CodeCanceled, "", "canceled while running")
+		state = api.StateCanceled
+		jerr = api.Errorf(api.CodeCanceled, "", "canceled while running")
 	default:
-		j.state = api.StateFailed
-		j.err = api.FromError(err)
+		state = api.StateFailed
+		jerr = api.FromError(err)
 	}
-	state := j.state
+	// submitted and the deadline never change after submit.
 	latency := now.Sub(j.submitted).Seconds()
 	deadline := j.req.DeadlineSeconds
-	if deadline > 0 && latency > deadline {
-		j.deadlineMissed = true
-	}
-	j.mu.Unlock()
 
+	// Account before publishing the terminal state, so a client that
+	// sees the job finished also sees it in the counters and tenant
+	// gauges.
 	switch state {
 	case api.StateDone:
 		s.completed.Add(1)
@@ -148,6 +183,14 @@ func (s *Server) runJob(j *job) {
 	}
 	s.recordLatency(latency)
 	s.tenants.finished(j.tenant, state, latency, deadline, true)
+
+	j.mu.Lock()
+	j.finishedAt = now
+	j.state = state
+	j.err = jerr
+	j.deadlineMissed = deadline > 0 && latency > deadline
+	j.release()
+	j.mu.Unlock()
 }
 
 // execute runs the job's pipeline: replay a submitted plan, or learn

@@ -332,3 +332,94 @@ func fetchMetrics(t *testing.T, url string) string {
 	}
 	return string(blob)
 }
+
+// TestFinishedJobsReleaseInputs checks that a job reaching a terminal
+// state (done after learning, done after a plan replay, and canceled
+// while queued) drops its built workflow and fleet and the request's
+// workflow document and plan, while status and list keep reporting
+// the workflow, activation count, fleet and VM count it was submitted
+// with.
+func TestFinishedJobsReleaseInputs(t *testing.T) {
+	gate := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(1)
+	s := New(Config{Workers: 1, QueueDepth: 8})
+	var once sync.Once
+	s.testHook = func(*job) {
+		once.Do(held.Done)
+		<-gate
+	}
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	}()
+
+	learn, resp := submit(t, ts.URL, smallJob(1))
+	if learn == nil {
+		t.Fatalf("submit rejected: HTTP %d", resp.StatusCode)
+	}
+	held.Wait()
+	queued, resp := submit(t, ts.URL, smallJob(2))
+	if queued == nil {
+		t.Fatalf("submit rejected: HTTP %d", resp.StatusCode)
+	}
+	cresp, err := http.Post(ts.URL+"/v1/jobs/"+queued.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp.Body.Close()
+	close(gate)
+	learned := waitDone(t, ts.URL, learn.ID)
+	if learned.State != api.StateDone || learned.Plan == nil {
+		t.Fatalf("learning job ended %q", learned.State)
+	}
+	replayReq := smallJob(3)
+	replayReq.Plan = learned.Plan
+	replay, resp := submit(t, ts.URL, replayReq)
+	if replay == nil {
+		t.Fatalf("replay rejected: HTTP %d", resp.StatusCode)
+	}
+	if st := waitDone(t, ts.URL, replay.ID); st.State != api.StateDone {
+		t.Fatalf("replay ended %q", st.State)
+	}
+
+	var listed []*api.JobStatus
+	lresp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(lresp.Body).Decode(&listed)
+	lresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]*api.JobStatus, len(listed))
+	for _, st := range listed {
+		byID[st.ID] = st
+	}
+	for _, sub := range []*api.JobStatus{learn, queued, replay} {
+		if sub.Workflow == "" || sub.Activations == 0 || sub.Fleet == "" || sub.VMs == 0 {
+			t.Fatalf("submit response lacks input fields: %+v", sub)
+		}
+		for src, st := range map[string]*api.JobStatus{"status": getStatus(t, ts.URL, sub.ID), "list": byID[sub.ID]} {
+			if st == nil {
+				t.Fatalf("%s: job %s missing", src, sub.ID)
+			}
+			if st.Workflow != sub.Workflow || st.Activations != sub.Activations || st.Fleet != sub.Fleet || st.VMs != sub.VMs {
+				t.Errorf("%s of finished %s: %q/%d/%q/%d, submitted as %q/%d/%q/%d", src, sub.ID,
+					st.Workflow, st.Activations, st.Fleet, st.VMs, sub.Workflow, sub.Activations, sub.Fleet, sub.VMs)
+			}
+		}
+		j := s.lookup(sub.ID)
+		j.mu.Lock()
+		kept := j.w != nil || j.fleet != nil || j.req.Plan != nil || j.req.Workflow.Synthetic != nil || j.req.Workflow.Source != ""
+		j.mu.Unlock()
+		if kept {
+			t.Errorf("finished job %s (%s) still holds its inputs", sub.ID, getStatus(t, ts.URL, sub.ID).State)
+		}
+	}
+}

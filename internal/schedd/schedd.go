@@ -290,16 +290,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	j := &job{
-		id:        fmt.Sprintf("j%06d", s.seq.Add(1)),
-		req:       req,
-		tenant:    tenantLabel(req.Tenant),
-		w:         wf,
-		fleet:     fleet,
-		sig:       api.StructureSignature(wf, fleet),
-		state:     api.StateQueued,
-		submitted: time.Now(),
-	}
+	j := newJob(fmt.Sprintf("j%06d", s.seq.Add(1)), req, wf, fleet)
 	s.mu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -401,6 +392,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		j.err = api.Errorf(api.CodeCanceled, "", "canceled while queued")
 		latency := j.finishedAt.Sub(j.submitted).Seconds()
 		deadline := j.req.DeadlineSeconds
+		j.release()
 		j.mu.Unlock()
 		s.canceled.Add(1)
 		s.recordLatency(latency)
