@@ -146,6 +146,37 @@ func TestSchedulerCompletesEpisode(t *testing.T) {
 	}
 }
 
+// TestSchedulerReusedAcrossFleets runs one agent on a two-VM fleet
+// that autoscale grows (so some per-VM scratch outgrows the fleet),
+// then on larger fixed fleets: Prepare must size every per-VM buffer
+// for the new fleet, whatever autoscale grew before.
+func TestSchedulerReusedAcrossFleets(t *testing.T) {
+	w := montage50(t, 1)
+	agent, err := NewScheduler(DefaultParams(), rl.NewTable(rand.New(rand.NewSource(2)), 1), rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := cloud.MustFleet("micro-2", []cloud.VMType{cloud.T2Micro}, []int{2})
+	grow := sim.Config{Seed: 4, Autoscale: &sim.Autoscale{Type: cloud.T2Micro, MaxVMs: 8, BootDelay: 1}}
+	for _, run := range []struct {
+		fl  *cloud.Fleet
+		cfg sim.Config
+	}{
+		{small, grow},
+		{cloud.MustFleet("micro-3", []cloud.VMType{cloud.T2Micro}, []int{3}), sim.Config{Seed: 5}},
+		{fleet(t, 32), sim.Config{Seed: 6}},
+	} {
+		agent.table = rl.NewDenseTable(w.Len(), len(run.fl.VMs), rand.New(rand.NewSource(7)), 1)
+		res, err := sim.Run(w, run.fl, agent, run.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.State != sim.FinishedOK {
+			t.Fatalf("%d VMs: state = %v", len(run.fl.VMs), res.State)
+		}
+	}
+}
+
 func TestLearnerImprovesOverRandomInit(t *testing.T) {
 	// The learning simulator runs with the fluctuation model: the t2
 	// family has equal nominal speed, so the only exploitable signal
