@@ -17,9 +17,10 @@ build:
 test:
 	$(GO) test ./...
 
-## race: race-detector pass over the simulation and learning packages
+## race: race-detector pass over every package (-count=1 defeats the
+## test cache, so each run re-executes the concurrent tests)
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/engine/... ./internal/expt/... ./internal/telemetry/... ./internal/invariant/... ./internal/api/... ./internal/schedd/...
+	$(GO) test -race -count=1 ./...
 
 ## race-replicas: race-detector pass over replica-parallel learning
 ## (concurrent learners sharing a fan-out telemetry sink)

@@ -202,6 +202,12 @@ func LearningLarge(acts, vcpus, episodes int) func(*testing.B) {
 			b.Fatal(err)
 		}
 		fluct := cloud.DefaultFluctuation()
+		// Every op shares w, whose first Validate builds and caches its
+		// topological order; pay that off the clock so allocs/op does
+		// not depend on b.N.
+		if err := w.Validate(); err != nil {
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

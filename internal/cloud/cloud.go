@@ -197,7 +197,7 @@ func FleetScaled(vcpus int) (*Fleet, error) {
 }
 
 // FluctuationModel perturbs nominal task runtimes the way a busy
-// public cloud does. It is used by the "real execution" engine
+// public cloud does. It is used by the "real execution" stage
 // (stage 2), NOT by the learning simulator — the mismatch between the
 // two is exactly what the paper argues RL adapts to.
 type FluctuationModel struct {

@@ -3,7 +3,9 @@ package exec
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -378,6 +380,124 @@ func TestDeterminismBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("provenance stores differ between identical runs")
+	}
+}
+
+// cancelAfter cancels its context when the k-th attempt starts.
+type cancelAfter struct {
+	inner  Runner
+	k      int
+	n      *int
+	cancel context.CancelFunc
+}
+
+func (r cancelAfter) Run(ctx context.Context, t TaskSpec) (float64, error) {
+	if *r.n++; *r.n == r.k {
+		r.cancel()
+	}
+	return r.inner.Run(ctx, t)
+}
+
+func TestInProcHonoursContext(t *testing.T) {
+	// Virtual time never blocks, so cancellation must reach the run
+	// through the transport: schedd's cancel and Shutdown rely on it.
+	w := trace.Montage50(rand.New(rand.NewSource(3)))
+	fleet, err := cloud.FleetTable1(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ctx context.Context, runner Runner) *Report {
+		t.Helper()
+		m, err := New(w, fleet, spreadPlan(w, fleet), &InProc{Workers: 2, Runner: runner})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.Run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+		}
+		return rep
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rep := run(ctx, SimRunner{}); rep.Done != 0 || rep.Attempts != 0 {
+		t.Fatalf("pre-cancelled run did %d activations in %d attempts", rep.Done, rep.Attempts)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var n int
+	if rep := run(ctx, cancelAfter{inner: SimRunner{}, k: 10, n: &n, cancel: cancel}); rep.Done >= w.Len() {
+		t.Fatalf("run cancelled mid-flight finished all %d activations", rep.Done)
+	}
+}
+
+func TestSimRunnerThrottlesMicro(t *testing.T) {
+	// One 20s activation on a fully throttled micro instance takes
+	// ThrottleFactor times its nominal duration.
+	w := dag.New("w")
+	w.MustAdd("a", "x", 20)
+	fleet, err := cloud.NewFleet("one", []cloud.VMType{cloud.T2Micro}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := cloud.FluctuationModel{MicroThrottleProb: 1, ThrottleFactor: 3}
+	m, err := New(w, fleet, spreadPlan(w, fleet), &InProc{Runner: SimRunner{Fluct: &fl}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := m.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(rep.Makespan-60) > 1e-9 {
+		t.Fatalf("makespan = %v, want 60 under a 3x throttle", rep.Makespan)
+	}
+}
+
+// Property: for random Montage instances under random plans and the
+// default fluctuation model, the master completes every activation
+// exactly once, and no activation starts before its parents finish.
+func TestPropertyRandomPlansHonourDependencies(t *testing.T) {
+	fl := cloud.DefaultFluctuation()
+	for seed := int64(0); seed < 8; seed++ {
+		w := trace.MontageN(rand.New(rand.NewSource(seed)), 30)
+		fleet, err := cloud.FleetTable1(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Run(w, fleet, &sched.Random{Seed: seed}, sim.Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := New(w, fleet, core.NewPlan(res.Plan), &InProc{Runner: SimRunner{Fluct: &fl, Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Done != w.Len() || rep.Attempts != w.Len() || len(rep.Results) != w.Len() {
+			t.Fatalf("seed %d: %d done in %d attempts, %d results, want %d each",
+				seed, rep.Done, rep.Attempts, len(rep.Results), w.Len())
+		}
+		byID := make(map[string]TaskResult, len(rep.Results))
+		for _, r := range rep.Results {
+			if _, dup := byID[r.ID]; dup || !r.Done || r.Attempts != 1 {
+				t.Fatalf("seed %d: %s reported twice, unfinished or retried: %+v", seed, r.ID, r)
+			}
+			byID[r.ID] = r
+		}
+		for _, a := range w.Activations() {
+			for _, c := range a.Children() {
+				if byID[c.ID].Start < byID[a.ID].Finish {
+					t.Fatalf("seed %d: %s started at %v before parent %s finished at %v",
+						seed, c.ID, byID[c.ID].Start, a.ID, byID[a.ID].Finish)
+				}
+			}
+		}
 	}
 }
 

@@ -63,8 +63,12 @@ func (p *InProc) push(t float64, ev Event) {
 	p.seq++
 }
 
-// Open implements Transport.
-func (p *InProc) Open(context.Context) ([]int, error) {
+// Open implements Transport. A context already done fails the open
+// with its error.
+func (p *InProc) Open(ctx context.Context) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if p.Runner == nil {
 		return nil, fmt.Errorf("exec: InProc needs a Runner")
 	}
@@ -107,8 +111,15 @@ func (p *InProc) Send(worker int, t TaskSpec) error {
 	return nil
 }
 
-// Next implements Transport.
-func (p *InProc) Next(_ context.Context, deadline float64) (Event, error) {
+// Next implements Transport. Virtual time never blocks, so the
+// context is the only way to stop a run early: once it is done, Next
+// returns its error instead of the next event.
+func (p *InProc) Next(ctx context.Context, deadline float64) (Event, error) {
+	select {
+	case <-ctx.Done():
+		return Event{}, ctx.Err()
+	default:
+	}
 	for {
 		if len(p.queue) == 0 {
 			if deadline == Forever {

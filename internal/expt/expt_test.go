@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 // smallOpts keeps harness tests fast: few episodes, two fleets.
 func smallOpts() Options {
-	return Options{Seed: 1, Episodes: 5, VCPUs: []int{16, 32}, TimeScale: 1e-5}
+	return Options{Seed: 1, Episodes: 5, VCPUs: []int{16, 32}}
 }
 
 func TestGridIs27(t *testing.T) {
@@ -125,6 +126,26 @@ func TestTable4ShapeAndFormat(t *testing.T) {
 	// Durations use the paper's HH:MM:SS.mmm format.
 	if !strings.Contains(s, ":") {
 		t.Fatalf("Table IV durations not formatted:\n%s", s)
+	}
+}
+
+// TestRunTable4Deterministic pins Table IV's reproducibility: plans
+// run on the exec master in virtual time, so two runs with one seed
+// return identical rows, bit for bit.
+func TestRunTable4Deterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("table 4 is slow")
+	}
+	a, err := RunTable4(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunTable4(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("Table IV rows differ between identical runs:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -288,9 +309,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if o.TrainFluct == nil || o.ExecFluct == nil {
 		t.Fatal("fluctuation defaults missing")
-	}
-	if o.TimeScale <= 0 {
-		t.Fatal("timescale default missing")
 	}
 	if _, err := cloud.FleetTable1(o.VCPUs[0]); err != nil {
 		t.Fatal(err)
